@@ -454,8 +454,9 @@ let rec domains = function
   | Ir.Exchange { cfg; input } | Ir.Exchange_merge { cfg; input; _ } ->
       cfg.degree + domains input
   | Ir.Remote { cfg; _ } ->
-      (* One local feeder domain per worker socket; the subtree's own
-         domains live in the worker processes, not this one. *)
+      (* One producer task per worker socket, each on its own dedicated
+         domain; the subtree's own domains live in the worker processes,
+         not this one. *)
       cfg.degree
 
 (* Concurrently fixed buffer pages, coarsely: a heap scan pins one page at
@@ -687,12 +688,14 @@ let batch_pass ?(batch_size = Volcano.Batch.default_size) root =
 
 (* A remote exchange ships packets over sockets from worker processes
    that arrive pre-sharded; the wire edge is a merge fed by one local
-   feeder per worker.  Its legality conditions are its own:
+   producer task per worker, forwarding that worker's packets.  Its
+   legality conditions are its own:
 
    - the worker count IS the shard count — [Remote.slice] rewrites the
      subtree so worker [r] of [workers] produces what local producer
-     rank [r] of a [workers]-wide group would, and the feeder array is
-     sized by [cfg.degree]; the two must agree ([remote-workers]);
+     rank [r] of a [workers]-wide group would, while this analyzer's
+     domain and memory estimates count [cfg.degree] local producers;
+     the two must agree ([remote-workers]);
    - without flow slack the local port ring is unbounded, so
      backpressure never reaches the kernel socket buffer and a fast
      worker can run the consumer out of memory ([remote-flow-slack]);

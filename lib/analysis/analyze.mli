@@ -79,8 +79,8 @@ val remote_pass : ?batch_size:int -> Ir.t -> Diag.t list
 (** Remote (network-distributed) exchange configuration.  Errors
     ([remote-workers]) when a [Remote] node's worker count is below one,
     disagrees with its config degree (the worker count is the shard
-    count; the local port forks one feeder per degree), or ships an
-    empty task string.  Warns ([remote-flow-slack]) on wire edges
+    count; the analyzer counts one local producer task per degree), or
+    ships an empty task string.  Warns ([remote-flow-slack]) on wire edges
     without flow slack — the local port ring is then unbounded and
     backpressure never reaches the kernel socket buffer — and
     ([remote-wire-batch]) when [batch_size] is 0 while the plan has wire

@@ -152,21 +152,6 @@ let join_quiet task =
   ignore (Sched.await task : (unit, exn) result);
   Atomic.incr join_counter
 
-(* Remote-exchange feeders are dedicated raw domains, not scheduler
-   tasks: each spends its life blocked in transport pulls (socket reads),
-   which must never occupy a pool worker.  They are counted in the same
-   spawn/join ledger as producer tasks so the chaos harness's zero-diff
-   teardown assertion covers them too. *)
-let spawn_domain body =
-  Atomic.incr spawn_counter;
-  Atomic.incr live_counter;
-  Domain.spawn (fun () ->
-      Fun.protect ~finally:(fun () -> Atomic.decr live_counter) body)
-
-let join_domain_quiet domain =
-  (try Domain.join domain with _ -> ());
-  Atomic.incr join_counter
-
 let instantiate_partition spec ~consumers =
   match spec with
   | Round_robin -> Support.Partition.round_robin ~consumers ()
@@ -187,8 +172,14 @@ let instantiate_partition spec ~consumers =
    port packets in a tight loop, with no per-record closure hop. *)
 type producer_source = Record_source of Iterator.t | Batch_source of Batch.t
 
+(* A producer task drives a local subtree, or forwards one remote
+   producer's packet stream from its transport source. *)
+type drive =
+  | Subtree of producer_source
+  | Transport_source of Port.Transport.source
+
 (* The producer half of exchange: "the driver for the query tree below the
-   exchange operator" (section 4.1).  Runs in a forked domain.
+   exchange operator" (section 4.1).  Runs in a forked task.
    [closer_slot] exposes the subtree to the failure handler so it can be
    closed (and its buffer fixes released) when the producer dies
    mid-stream. *)
@@ -222,7 +213,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
      runs once per record. *)
   let faults_live = not (Injector.is_none faults) in
   (match source with
-  | Record_source iter ->
+  | Subtree (Record_source iter) ->
       closer_slot := Some (fun () -> Iterator.close iter);
       Iterator.open_ iter;
       let rec drive () =
@@ -247,7 +238,7 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
               drive ()
       in
       drive ()
-  | Batch_source batches ->
+  | Subtree (Batch_source batches) ->
       closer_slot := Some (fun () -> Batch.close batches);
       Batch.open_ batches;
       (* The batch drive loop: one [Batch.next] per packet of records,
@@ -281,6 +272,39 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
                   done);
               drive ()
       in
+      drive ()
+  | Transport_source src ->
+      (* A remote producer already ran the subtree, and on a repartitioning
+         edge the partition function too: forward its packets whole.  A
+         [Data] packet may go to any consumer (round-robin); a [Routed]
+         one is pinned to its destination.  Backpressure is end-to-end: a
+         full lane ring blocks the send, the pulls stop, and the kernel
+         socket buffer pushes back on the worker's writes. *)
+      let next_consumer = ref 0 in
+      let alloc ~capacity =
+        Port.alloc port ~producer:rank ~consumer:!next_consumer ~capacity
+      in
+      let forward consumer packet =
+        Port.send port ~producer:rank ~consumer:(consumer mod consumers) packet
+      in
+      let rec drive () =
+        if not (Port.is_shut_down port) then
+          match src.pull ~alloc with
+          | Port.Transport.Data packet ->
+              let consumer = !next_consumer in
+              next_consumer := (consumer + 1) mod consumers;
+              forward consumer packet;
+              drive ()
+          | Port.Transport.Routed (dest, packet) ->
+              forward dest packet;
+              drive ()
+          | Port.Transport.Eos -> ()
+          | Port.Transport.Failed origin ->
+              raise
+                (as_query_failed
+                   ~fallback:(Printf.sprintf "net-worker-%d" rank)
+                   origin)
+      in
       drive ());
   (* Flag the last packet to every consumer with the end-of-stream tag. *)
   if not (Port.is_shut_down port) then
@@ -294,8 +318,9 @@ let run_producer_inner cfg faults port close_allowed group closer_slot input =
   Sched.Event.wait close_allowed;
   closer_slot := None;
   match source with
-  | Record_source iter -> Iterator.close iter
-  | Batch_source batches -> Batch.close batches
+  | Subtree (Record_source iter) -> Iterator.close iter
+  | Subtree (Batch_source batches) -> Batch.close batches
+  | Transport_source _ -> ()
 
 (* A producer that dies must not hang or silently truncate the query:
    poison the port — recording the cause, waking blocked consumers
@@ -370,83 +395,147 @@ let spawn_producers sched cfg faults port close_allowed input =
 (* ------------------------------------------------------------------ *)
 (* Consumer side                                                       *)
 
-type consumer_state = {
-  port : Port.t;
-  close_allowed : Sched.Event.t;
-  joiner : (unit -> unit) option; (* master only *)
-  recv : unit -> Packet.t option;
-  (* receive and recycle are built once at open: [next] runs per record
-     and must not allocate fresh closures on every call *)
-  recy : Packet.t -> unit;
-  mutable current : Packet.t option;
-  mutable pos : int;
-  mutable eos_tags : int;
-  mutable finished : bool;
-}
+(* Who feeds an exchange's port: local producer tasks forked on a
+   scheduler, each driving its own copy of the subtree, or remote
+   producers behind transport sources that [connect] establishes. *)
+type producers =
+  | Tasks of Sched.t * (Group.t -> producer_source)
+  | Transport of (unit -> Port.Transport.source array)
 
-let setup_consumer ?(keep_separate = false) ?(faults = Injector.none)
-    ?parent_scope ?scope ?obs ~sched cfg ~id ~group ~input =
-  if Group.is_master group then begin
-    let on_shutdown =
-      match scope with Some s -> fun () -> Scope.cancel s | None -> fun () -> ()
+(* The exchange's obs sample: its port's counters plus its producer
+   group's spawn and join clocks ([join_s] accumulates over the run). *)
+let register_sample (sink, node) port ~domains ~spawn_s ~join_s =
+  Obs.register_exchange sink ~node ~sample:(fun () ->
+      {
+        Obs.packets_sent = Port.packets_sent port;
+        packets_received = Port.packets_received port;
+        records = Port.records_sent port;
+        max_queue_depth = Port.max_depth port;
+        flow_waits = Port.flow_stalls port;
+        flow_wait_s = Port.flow_stall_s port;
+        per_producer = Port.packets_sent_by port;
+        pool_allocated = Port.pool_allocated port;
+        pool_reused = Port.pool_reused port;
+        pool_recycled = Port.pool_recycled port;
+        spawn_s;
+        join_s = !join_s;
+        domains;
+      })
+
+(* The group master creates the port, forks the producers and publishes
+   the port; other members attach to it.  Returns the port and this
+   member's teardown, which is a no-op except on the master. *)
+let setup_consumer ?(keep_separate = false) ~faults ?parent_scope ?scope ?obs
+    cfg ~id ~group producers =
+  if not (Group.is_master group) then
+    (Group.lookup_port group ~key:id, fun ~finished:_ -> ())
+  else begin
+    let sched, cfg, input, sources =
+      match producers with
+      | Tasks (sched, input) ->
+          (sched, cfg, (fun g -> Subtree (input g)), [||])
+      | Transport connect ->
+          let sources =
+            (* A refused connection is the same single error a producer
+               dying at fork time is. *)
+            try connect ()
+            with exn -> raise (as_query_failed ~fallback:"net-connect" exn)
+          in
+          if Array.length sources = 0 then
+            invalid_arg
+              "Exchange.remote_iterator: connect returned no sources";
+          (* One producer task per source, each on its own dedicated
+             domain: a pull blocks in a socket read, which must never
+             occupy a pool worker. *)
+          ( Sched.dedicated (),
+            {
+              cfg with
+              degree = Array.length sources;
+              fork_mode = Fork_central;
+            },
+            (fun g -> Transport_source sources.(Group.rank g)),
+            sources )
+    in
+    let each_source f =
+      Array.iter
+        (fun (s : Port.Transport.source) -> try f s with _ -> ())
+        sources
+    in
+    let on_shutdown () =
+      (* Cancellation chaining, across the machine boundary too: shutting
+         this port stops the remote producers (best-effort cancel frames
+         and closed sockets) exactly as it cancels descendant ports. *)
+      each_source (fun s -> s.cancel ());
+      Option.iter Scope.cancel scope
     in
     let port =
       Port.create ~producers:cfg.degree ~consumers:(Group.size group)
         ?flow_slack:cfg.flow_slack ~keep_separate ~faults ~on_shutdown
         ~timed:(Option.is_some obs) ()
     in
-    (match parent_scope with Some s -> Scope.register s port | None -> ());
+    Option.iter (fun s -> Scope.register s port) parent_scope;
     let close_allowed = Sched.Event.create () in
     let spawn_t0 = if Option.is_some obs then Obs.now () else 0.0 in
-    let joiner = spawn_producers sched cfg faults port close_allowed input in
-    let joiner =
+    let join_tasks =
+      spawn_producers sched cfg faults port close_allowed input
+    in
+    (* Joining a transport source reaps its worker process. *)
+    let join () =
+      join_tasks ();
+      each_source (fun s -> s.join ())
+    in
+    let join =
       match obs with
-      | None -> joiner
-      | Some (sink, node) ->
-          let spawn_s = Obs.now () -. spawn_t0 in
+      | None -> join
+      | Some obs ->
           let join_s = ref 0.0 in
-          Obs.register_exchange sink ~node ~sample:(fun () ->
-              {
-                Obs.packets_sent = Port.packets_sent port;
-                packets_received = Port.packets_received port;
-                records = Port.records_sent port;
-                max_queue_depth = Port.max_depth port;
-                flow_waits = Port.flow_stalls port;
-                flow_wait_s = Port.flow_stall_s port;
-                per_producer = Port.packets_sent_by port;
-                pool_allocated = Port.pool_allocated port;
-                pool_reused = Port.pool_reused port;
-                pool_recycled = Port.pool_recycled port;
-                spawn_s;
-                join_s = !join_s;
-                domains = cfg.degree;
-              });
+          register_sample obs port ~domains:cfg.degree
+            ~spawn_s:(Obs.now () -. spawn_t0) ~join_s;
           fun () ->
             let t0 = Obs.now () in
-            joiner ();
+            join ();
             join_s := !join_s +. (Obs.now () -. t0)
     in
     Group.publish_port group ~key:id port;
-    (* The event rides along for non-master members (unused by them). *)
-    (port, close_allowed, Some joiner)
+    let teardown ~finished =
+      (* Early close: cancel the producers.  The shutdown releases any
+         flow-control slack they are blocked on and (via the shutdown
+         chain) cancels every descendant port — a producer stuck in a
+         deeper receive must observe the cancellation too.  After a
+         normal end-of-stream the port must NOT be shut: sibling consumers
+         may still be draining their queues, and producers stop sending
+         the moment they see the port down. *)
+      if not finished then Port.shutdown port;
+      Sched.Event.fire close_allowed;
+      join ()
+    in
+    (port, teardown)
   end
-  else
-    let port = Group.lookup_port group ~key:id in
-    (port, Sched.Event.create (), None)
 
-let teardown_consumer ~group state =
-  if Group.is_master group then begin
-    (* Early close: cancel the producers.  The shutdown releases any
-       flow-control slack they are blocked on and (via the shutdown chain)
-       cancels every descendant port — a producer stuck in a deeper
-       receive must observe the cancellation too.  After a normal
-       end-of-stream the port must NOT be shut: sibling consumers may
-       still be draining their queues, and producers stop sending the
-       moment they see the port down. *)
-    if not state.finished then Port.shutdown state.port;
-    Sched.Event.fire state.close_allowed;
-    match state.joiner with Some join -> join () | None -> ()
-  end
+type consumer_state = {
+  port : Port.t;
+  recv : unit -> Packet.t option;
+  (* receive and recycle are built once at open: [next] runs per record
+     and must not allocate fresh closures on every call *)
+  recy : Packet.t -> unit;
+  eos_needed : int; (* every producer's tag, or 1 for a keep-separate stream *)
+  mutable current : Packet.t option;
+  mutable pos : int;
+  mutable eos_tags : int;
+  mutable finished : bool;
+}
+
+let consumer_state port ~consumer ~eos_needed recv =
+  {
+    port;
+    recv;
+    recy = Port.recycle port ~consumer;
+    eos_needed;
+    current = None;
+    pos = 0;
+    eos_tags = 0;
+    finished = false;
+  }
 
 let consume_packets state =
   let rec step () =
@@ -466,7 +555,7 @@ let consume_packets state =
         step ()
     | None ->
         if state.finished then None
-        else if state.eos_tags >= Port.producers state.port then begin
+        else if state.eos_tags >= state.eos_needed then begin
           state.finished <- true;
           None
         end
@@ -488,238 +577,65 @@ let consume_packets state =
   in
   step ()
 
-let source_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
-    ?sched cfg ~group ~input =
-  let id = match id with Some i -> i | None -> fresh_id () in
-  let sched = match sched with Some s -> s | None -> Sched.default () in
+(* A consumer-side failure (e.g. an injected receive fault) must also
+   cancel the producers, not leave them pumping into a dead port. *)
+let next state =
+  match consume_packets state with
+  | result -> result
+  | exception exn ->
+      state.finished <- true;
+      Port.poison state.port exn;
+      raise (as_query_failed ~fallback:"consumer" exn)
+
+(* One consumer's iterator.  [close] receives the open state, or [None]:
+   failing operators close their inputs best-effort while unwinding, so a
+   close may come without a successful open. *)
+let consumer_iterator ~what ~open_ ~close =
   let state = ref None in
-  let get_state () =
-    match !state with
-    | Some s -> s
-    | None -> invalid_arg "Exchange.iterator: not open"
-  in
   Iterator.make
-    ~open_:(fun () ->
-      let port, close_allowed, joiner =
-        setup_consumer ~faults ?parent_scope ?scope ?obs ~sched cfg ~id ~group
-          ~input
-      in
-      let consumer = Group.rank group in
-      state :=
-        Some
-          {
-            port;
-            close_allowed;
-            joiner;
-            recv = (fun () -> Port.receive port ~consumer);
-            recy = Port.recycle port ~consumer;
-            current = None;
-            pos = 0;
-            eos_tags = 0;
-            finished = false;
-          })
+    ~open_:(fun () -> state := Some (open_ ()))
     ~next:(fun () ->
-      let s = get_state () in
-      match consume_packets s with
-      | result -> result
-      | exception exn ->
-          (* A consumer-side failure (e.g. an injected receive fault) must
-             also cancel the producers, not leave them pumping. *)
-          s.finished <- true;
-          Port.poison s.port exn;
-          raise (as_query_failed ~fallback:"consumer" exn))
-    ~close:(fun () ->
-      (* Tolerate a close without a successful open: failing operators
-         close their inputs best-effort while unwinding, and an exchange
-         that never opened has nothing to tear down. *)
       match !state with
-      | None -> ()
-      | Some s ->
-          teardown_consumer ~group s;
-          state := None)
+      | Some s -> next s
+      | None -> invalid_arg ("Exchange." ^ what ^ ": not open"))
+    ~close:(fun () ->
+      let s = !state in
+      state := None;
+      close s)
+
+let exchange_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
+    cfg ~group ~what producers =
+  let id = match id with Some i -> i | None -> fresh_id () in
+  let teardown = ref (fun ~finished:_ -> ()) in
+  consumer_iterator ~what
+    ~open_:(fun () ->
+      let port, down =
+        setup_consumer ~faults ?parent_scope ?scope ?obs cfg ~id ~group
+          producers
+      in
+      teardown := down;
+      let consumer = Group.rank group in
+      consumer_state port ~consumer ~eos_needed:(Port.producers port)
+        (fun () -> Port.receive port ~consumer))
+    ~close:(Option.iter (fun s -> !teardown ~finished:s.finished))
+
+let source_iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group
+    ~input =
+  let sched = match sched with Some s -> s | None -> Sched.default () in
+  exchange_iterator ?id ?faults ?parent_scope ?scope ?obs cfg ~group
+    ~what:"iterator"
+    (Tasks (sched, input))
 
 let iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group ~input =
   source_iterator ?id ?faults ?parent_scope ?scope ?obs ?sched cfg ~group
     ~input:(fun producer_group -> Record_source (input producer_group))
 
-(* ------------------------------------------------------------------ *)
-(* Remote exchange: producers behind transport sources                  *)
-
-(* The consumer half of exchange when the producer group lives behind
-   {!Port.Transport.source}s — worker processes on the far side of a
-   socket, or any other carrier.  The local port stays the flow-control
-   and failure rendezvous: one feeder domain per source pumps pulled
-   packets into it, so [next], EOS counting, poisoning, and the shutdown
-   chain are exactly the shared-memory code paths.  Backpressure is
-   end-to-end for free: a full lane ring blocks the feeder's send, the
-   feeder stops pulling, and the kernel socket buffer pushes back on the
-   worker's writes. *)
-let remote_iterator ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
-    ~group ~connect =
-  let id = match id with Some i -> i | None -> fresh_id () in
-  let state = ref None in
-  Iterator.make
-    ~open_:(fun () ->
-      let port, close_allowed, joiner =
-        if Group.is_master group then begin
-          let sources =
-            (* A refused connection is the same single error a producer
-               dying at fork time is. *)
-            try (connect () : Port.Transport.source array)
-            with exn -> raise (as_query_failed ~fallback:"net-connect" exn)
-          in
-          let producers = Array.length sources in
-          if producers = 0 then
-            invalid_arg "Exchange.remote_iterator: connect returned no sources";
-          let consumers = Group.size group in
-          let cancel_sources () =
-            Array.iter
-              (fun (s : Port.Transport.source) -> try s.cancel () with _ -> ())
-              sources
-          in
-          let on_shutdown () =
-            (* Cancellation chaining across the machine boundary: shutting
-               this port must stop the remote producers (best-effort cancel
-               frames + closed sockets) exactly as it cancels local
-               descendant ports. *)
-            cancel_sources ();
-            match scope with Some s -> Scope.cancel s | None -> ()
-          in
-          let port =
-            Port.create ~producers ~consumers ?flow_slack:cfg.flow_slack
-              ~faults ~on_shutdown ~timed:(Option.is_some obs) ()
-          in
-          (match parent_scope with Some s -> Scope.register s port | None -> ());
-          let spawn_t0 = if Option.is_some obs then Obs.now () else 0.0 in
-          let feeders =
-            Array.to_list
-              (Array.mapi
-                 (fun rank (src : Port.Transport.source) ->
-                   spawn_domain (fun () ->
-                       (* Whole packets round-robin across consumers: the
-                          workers already sharded the data, so the wire
-                          edge is a merge and any consumer may take any
-                          packet. *)
-                       let next_consumer = ref 0 in
-                       let alloc ~capacity =
-                         Port.alloc port ~producer:rank
-                           ~consumer:!next_consumer ~capacity
-                       in
-                       let rec pump () =
-                         if not (Port.is_shut_down port) then
-                           match src.pull ~alloc with
-                           | Port.Transport.Data packet ->
-                               let consumer = !next_consumer in
-                               next_consumer := (consumer + 1) mod consumers;
-                               Port.send port ~producer:rank ~consumer packet;
-                               pump ()
-                           | Port.Transport.Routed (dest, packet) ->
-                               (* A repartitioning edge: the worker already
-                                  applied the partition function, so the
-                                  packet is pinned to its destination
-                                  consumer instead of merged round-robin. *)
-                               Port.send port ~producer:rank
-                                 ~consumer:(dest mod consumers) packet;
-                               pump ()
-                           | Port.Transport.Eos ->
-                               (* Every consumer counts one EOS tag per
-                                  producer, as in the local exchange. *)
-                               for consumer = 0 to consumers - 1 do
-                                 let packet =
-                                   Port.alloc port ~producer:rank ~consumer
-                                     ~capacity:1
-                                 in
-                                 Packet.tag_end_of_stream packet;
-                                 Port.send port ~producer:rank ~consumer packet
-                               done
-                           | Port.Transport.Failed origin ->
-                               raise
-                                 (as_query_failed
-                                    ~fallback:
-                                      (Printf.sprintf "net-worker-%d" rank)
-                                    origin)
-                       in
-                       try pump ()
-                       with exn ->
-                         (* First failure wins; a dropped connection or a
-                            shipped worker failure surfaces at the
-                            consumer's next as one [Query_failed]. *)
-                         Port.poison port exn;
-                         try src.cancel () with _ -> ()))
-                 sources)
-          in
-          let joiner () =
-            List.iter join_domain_quiet feeders;
-            Array.iter
-              (fun (s : Port.Transport.source) -> try s.join () with _ -> ())
-              sources
-          in
-          let joiner =
-            match obs with
-            | None -> joiner
-            | Some (sink, node) ->
-                let spawn_s = Obs.now () -. spawn_t0 in
-                let join_s = ref 0.0 in
-                Obs.register_exchange sink ~node ~sample:(fun () ->
-                    {
-                      Obs.packets_sent = Port.packets_sent port;
-                      packets_received = Port.packets_received port;
-                      records = Port.records_sent port;
-                      max_queue_depth = Port.max_depth port;
-                      flow_waits = Port.flow_stalls port;
-                      flow_wait_s = Port.flow_stall_s port;
-                      per_producer = Port.packets_sent_by port;
-                      pool_allocated = Port.pool_allocated port;
-                      pool_reused = Port.pool_reused port;
-                      pool_recycled = Port.pool_recycled port;
-                      spawn_s;
-                      join_s = !join_s;
-                      domains = producers;
-                    });
-                fun () ->
-                  let t0 = Obs.now () in
-                  joiner ();
-                  join_s := !join_s +. (Obs.now () -. t0)
-          in
-          Group.publish_port group ~key:id port;
-          (port, Sched.Event.create (), Some joiner)
-        end
-        else
-          let port = Group.lookup_port group ~key:id in
-          (port, Sched.Event.create (), None)
-      in
-      let consumer = Group.rank group in
-      state :=
-        Some
-          {
-            port;
-            close_allowed;
-            joiner;
-            recv = (fun () -> Port.receive port ~consumer);
-            recy = Port.recycle port ~consumer;
-            current = None;
-            pos = 0;
-            eos_tags = 0;
-            finished = false;
-          })
-    ~next:(fun () ->
-      let s =
-        match !state with
-        | Some s -> s
-        | None -> invalid_arg "Exchange.remote_iterator: not open"
-      in
-      match consume_packets s with
-      | result -> result
-      | exception exn ->
-          s.finished <- true;
-          Port.poison s.port exn;
-          raise (as_query_failed ~fallback:"consumer" exn))
-    ~close:(fun () ->
-      match !state with
-      | None -> ()
-      | Some s ->
-          teardown_consumer ~group s;
-          state := None)
+(* Remote exchange: the same consumer, with producer tasks forwarding
+   from transport sources instead of driving a local subtree. *)
+let remote_iterator ?id ?faults ?parent_scope ?scope ?obs cfg ~group ~connect
+    =
+  exchange_iterator ?id ?faults ?parent_scope ?scope ?obs cfg ~group
+    ~what:"remote_iterator" (Transport connect)
 
 (* Keep-separate variant: one stream per producer, so that "the merge
    iterator [can] distinguish the input records by their producer"
@@ -755,16 +671,17 @@ let producer_streams ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
           shared :=
             Some
               (setup_consumer ~keep_separate:true ~faults ?parent_scope ?scope
-                 ?obs ~sched cfg ~id ~group
-                 ~input:(fun producer_group ->
-                   Record_source (input producer_group))))
+                 ?obs cfg ~id ~group
+                 (Tasks
+                    (sched, fun producer_group ->
+                      Record_source (input producer_group)))))
     else begin
       Sched.Event.wait ready;
-      if !shared = None then
+      if Option.is_none !shared then
         failwith "Exchange.producer_streams: shared setup failed"
     end
   in
-  let all_finished = Array.make cfg.degree false in
+  let finished = Array.make cfg.degree false in
   let release () =
     Mutex.lock lock;
     incr close_count;
@@ -772,80 +689,24 @@ let producer_streams ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs
     Mutex.unlock lock;
     if last then
       match !shared with
-      | Some (port, close_allowed, joiner) ->
-          if Array.exists not all_finished then Port.shutdown port;
-          Sched.Event.fire close_allowed;
-          (match joiner with Some join -> join () | None -> ());
+      | Some (_, teardown) ->
+          teardown ~finished:(Array.for_all Fun.id finished);
           shared := None
       | None -> ()
   in
   Array.init cfg.degree (fun producer ->
-      let stream_state = ref None in
-      Iterator.make
+      consumer_iterator ~what:"producer_streams"
         ~open_:(fun () ->
           ensure_open ();
-          let port, close_allowed, _ =
-            match !shared with Some s -> s | None -> assert false
+          let port =
+            match !shared with Some (port, _) -> port | None -> assert false
           in
           let consumer = Group.rank group in
-          stream_state :=
-            Some
-              {
-                port;
-                close_allowed;
-                joiner = None;
-                recv =
-                  (fun () -> Port.receive_from port ~producer ~consumer);
-                recy = Port.recycle port ~consumer;
-                current = None;
-                pos = 0;
-                eos_tags = 0;
-                finished = false;
-              })
-        ~next:(fun () ->
-          match !stream_state with
-          | None -> invalid_arg "Exchange.producer_streams: not open"
-          | Some s ->
-              (* Exactly one end-of-stream tag arrives on this queue. *)
-              let result =
-                let rec step () =
-                  match s.current with
-                  | Some packet when s.pos < Packet.length packet ->
-                      let tuple = Packet.get packet s.pos in
-                      s.pos <- s.pos + 1;
-                      Some tuple
-                  | Some packet ->
-                      if Packet.end_of_stream packet then s.finished <- true;
-                      s.current <- None;
-                      s.recy packet;
-                      if s.finished then None else step ()
-                  | None ->
-                      if s.finished then None
-                      else (
-                        match s.recv () with
-                        | Some packet ->
-                            s.current <- Some packet;
-                            s.pos <- 0;
-                            step ()
-                        | None ->
-                            s.finished <- true;
-                            (match Port.failure s.port with
-                            | Some origin ->
-                                raise
-                                  (as_query_failed ~fallback:"producer" origin)
-                            | None -> None))
-                in
-                step ()
-              in
-              (match result with
-              | None -> all_finished.(producer) <- true
-              | Some _ -> ());
-              result)
-        ~close:(fun () ->
-          (match !stream_state with
-          | Some s -> if s.finished then all_finished.(producer) <- true
-          | None -> ());
-          stream_state := None;
+          (* Exactly one end-of-stream tag arrives on this queue. *)
+          consumer_state port ~consumer ~eos_needed:1 (fun () ->
+              Port.receive_from port ~producer ~consumer))
+        ~close:(fun s ->
+          Option.iter (fun s -> finished.(producer) <- s.finished) s;
           release ()))
 
 (* ------------------------------------------------------------------ *)
@@ -866,39 +727,20 @@ let interchange ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
         if Group.is_master group then begin
           (* Flow control is pointless here: a process produces only when
              it has nothing to consume. *)
-          let on_shutdown =
-            match scope with
-            | Some s -> fun () -> Scope.cancel s
-            | None -> fun () -> ()
-          in
           let port =
             Port.create ~producers:size ~consumers:size ~keep_separate:false
-              ~faults ~on_shutdown ~timed:(Option.is_some obs) ()
+              ~faults
+              ~on_shutdown:(fun () -> Option.iter Scope.cancel scope)
+              ~timed:(Option.is_some obs) ()
           in
-          (match parent_scope with
-          | Some s -> Scope.register s port
-          | None -> ());
-          (match obs with
-          | None -> ()
-          | Some (sink, node) ->
-              (* No processes are forked here: spawn/join are zero and
-                 [domains] reports 0 by construction. *)
-              Obs.register_exchange sink ~node ~sample:(fun () ->
-                  {
-                    Obs.packets_sent = Port.packets_sent port;
-                    packets_received = Port.packets_received port;
-                    records = Port.records_sent port;
-                    max_queue_depth = Port.max_depth port;
-                    flow_waits = Port.flow_stalls port;
-                    flow_wait_s = Port.flow_stall_s port;
-                    per_producer = Port.packets_sent_by port;
-                    pool_allocated = Port.pool_allocated port;
-                    pool_reused = Port.pool_reused port;
-                    pool_recycled = Port.pool_recycled port;
-                    spawn_s = 0.0;
-                    join_s = 0.0;
-                    domains = 0;
-                  }));
+          Option.iter (fun s -> Scope.register s port) parent_scope;
+          (* No processes are forked here: spawn/join are zero and
+             [domains] reports 0 by construction. *)
+          Option.iter
+            (fun obs ->
+              register_sample obs port ~domains:0 ~spawn_s:0.0
+                ~join_s:(ref 0.0))
+            obs;
           Group.publish_port group ~key:id port;
           port
         end
@@ -917,17 +759,8 @@ let interchange ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
          | spec -> instantiate_partition spec ~consumers:size);
       state :=
         Some
-          {
-            port;
-            close_allowed = Sched.Event.create ();
-            joiner = None;
-            recv = (fun () -> Port.receive port ~consumer:rank);
-            recy = Port.recycle port ~consumer:rank;
-            current = None;
-            pos = 0;
-            eos_tags = 0;
-            finished = false;
-          })
+          (consumer_state port ~consumer:rank ~eos_needed:size (fun () ->
+               Port.receive port ~consumer:rank)))
     ~next:(fun () ->
       match !state with
       | None -> invalid_arg "Exchange.interchange: not open"
@@ -966,7 +799,7 @@ let interchange ?id ?(faults = Injector.none) ?parent_scope ?scope ?obs cfg
                       raise (as_query_failed ~fallback:"interchange" origin)
                   | None -> None
                 end
-                else if s.eos_tags >= size then begin
+                else if s.eos_tags >= s.eos_needed then begin
                   s.finished <- true;
                   None
                 end

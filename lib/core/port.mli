@@ -137,12 +137,12 @@ val pool_recycled : t -> int
 
 (** {2 Transport abstraction}
 
-    A {e transport source} is one producer's packet stream viewed from the
-    consumer side, independent of what carries it: the in-memory SPSC lane
-    ({!Transport.of_port}) and the socket lane of [Volcano_net] are the two
-    implementations.  Remote exchange consumes sources only, so EOS,
-    failure, and cancellation flow identically whether the producer shares
-    the address space or a machine boundary. *)
+    A {e transport source} is one remote producer's packet stream viewed
+    from the consumer side, independent of what carries it; the socket
+    lane of [Volcano_net] implements it.  The remote exchange forwards
+    each source into an ordinary port, so EOS, failure, and cancellation
+    flow identically whether the producer shares the address space or
+    sits across a machine boundary. *)
 module Transport : sig
   exception Remote_failure of { site : string; message : string }
   (** A producer-side failure that crossed a serialization boundary: the
@@ -162,8 +162,8 @@ module Transport : sig
     pull : alloc:(capacity:int -> Packet.t) -> event;
         (** Block until the next event.  [alloc] lets the transport fill a
             recycled packet shell instead of allocating (wire transports
-            deserialize into it; the in-memory lane ignores it).  After
-            [Eos] or [Failed], further pulls return the same event. *)
+            deserialize into it).  After [Eos] or [Failed], further pulls
+            return the same event. *)
     cancel : unit -> unit;
         (** Consumer-initiated early termination (idempotent, non-blocking
             best effort): stop the producer and release its resources. *)
@@ -171,7 +171,4 @@ module Transport : sig
         (** Wait for the transport's resources (worker process, socket) to
             be fully released.  Call after [cancel] or a terminal event. *)
   }
-
-  val of_port : t -> producer:int -> consumer:int -> source
-  (** One lane of an in-memory port as a transport source. *)
 end

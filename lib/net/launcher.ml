@@ -5,7 +5,8 @@ module Obs = Volcano_obs.Obs
 (* Launch a remote producer group: spawn [workers] worker processes, hand
    each a shard of the task over a private socket, and expose each
    connection as a {!Volcano.Port.Transport.source} for
-   [Exchange.remote_iterator] to consume.
+   [Exchange.remote_iterator], whose producer tasks (one per source, on
+   the dedicated scheduler) forward it into the consumer's port.
 
    The parent is the listener (workers connect back to it), so a worker
    that never comes up is detected here as an accept timeout, not as a
@@ -92,8 +93,9 @@ let source_of ~faults ~packet_size ~rank ~stats ~rows_c ~bytes_c fd pid =
                     (Printf.sprintf "worker %d: unexpected frame kind" rank)))
         | exception exn ->
             (* A dropped connection (EOF, ECONNRESET, a truncated frame):
-               the stream ends in failure, which the feeder reports as the
-               same single Query_failed a dead local producer causes. *)
+               the stream ends in failure, which the forwarding producer
+               task reports as the same single Query_failed a dead local
+               producer causes. *)
             finish (Transport.Failed exn))
   in
   let cancel () =

@@ -4,7 +4,8 @@
     socket for them to connect back, assigns shards in accept order via
     [Hello] frames, and wraps each connection as a
     {!Volcano.Port.Transport.source} — the [connect] argument of
-    [Exchange.remote_iterator].
+    [Exchange.remote_iterator], which forwards each source into its port
+    through one producer task on the dedicated scheduler.
 
     [command ~socket] must render an argv that starts a worker which
     connects to [socket] and speaks the {!Worker} protocol (typically the

@@ -74,18 +74,18 @@ let max_frame = 1 lsl 24
 
 let rec write_exact fd buf pos len =
   if len > 0 then begin
-    (* conclint: allow CL003 -- socket writes run on dedicated transport
-       domains (workers, feeders, serve handler threads), never on a pool
-       worker. *)
+    (* conclint: allow CL003 -- writes run in worker processes and serve
+       threads; the consumer side writes only set-up and cancel frames,
+       a few bytes each into an otherwise idle send buffer. *)
     let n = Unix.write fd buf pos len in
     write_exact fd buf (pos + n) (len - n)
   end
 
 let rec read_exact fd buf pos len =
   if len > 0 then begin
-    (* conclint: allow CL003 -- socket reads run on dedicated transport
-       domains (workers, feeders, serve handler threads), never on a pool
-       worker. *)
+    (* conclint: allow CL003 -- reads run in worker processes, serve
+       threads and remote-exchange producer tasks, which fork on
+       Sched.dedicated: one domain each, never a pool worker. *)
     let n = Unix.read fd buf pos len in
     if n = 0 then raise End_of_file;
     read_exact fd buf (pos + n) (len - n)

@@ -81,48 +81,33 @@ let connect address =
     fd
   end
 
-(* Merge mode: one shell, flushed as mergeable [Data] frames. *)
-let pump_merge fd ~packet_size ~shard next =
-  let shell = Packet.create ~capacity:packet_size ~producer:shard in
-  let flush () =
-    if not (Packet.is_empty shell) then begin
-      Wire.write_frame fd Wire.Data (Codec.encode shell);
-      Packet.reset shell
-    end
-  in
-  let rec pump () =
-    match next () with
-    | None -> flush ()
-    | Some tuple ->
-        Packet.add shell tuple;
-        if Packet.is_full shell then begin
-          (* Between packets is the cancellation point: a Cancel frame
-             (or a torn-down connection) stops the stream without
-             waiting for the shard to drain. *)
-          if cancelled fd then raise Exit;
-          flush ()
-        end;
-        pump ()
-  in
-  pump ()
-
-(* Repartition mode: one shell per destination; a full (or final) shell
-   flushes as a routed frame.  Tail flushes walk every destination so a
+(* One shell per destination; a full (or final) shell flushes as one
+   frame.  A merge edge is a single destination flushed as mergeable
+   [Data] frames.  A repartitioning edge routes each row with the
+   partition function the parent shipped and flushes routed frames,
+   [u16 dest | packet bytes].  Tail flushes walk every destination so a
    key that hashed to a lone row still arrives. *)
-let pump_repartition fd ~packet_size ~shard ~repartition next =
-  let { Wire.dests; spec } = repartition in
-  let route = Repart.route spec ~dests in
+let pump fd ~packet_size ~shard ~repartition next =
+  let dests, route, write =
+    match repartition with
+    | None ->
+        (1, (fun _ -> 0), fun _ body -> Wire.write_frame fd Wire.Data body)
+    | Some { Wire.dests; spec } ->
+        ( dests,
+          Repart.route spec ~dests,
+          fun dest body ->
+            let payload = Bytes.create (2 + Bytes.length body) in
+            Bytes.set_uint16_le payload 0 dest;
+            Bytes.blit body 0 payload 2 (Bytes.length body);
+            Wire.write_frame fd Wire.Repartition payload )
+  in
   let shells =
     Array.init dests (fun _ -> Packet.create ~capacity:packet_size ~producer:shard)
   in
   let flush dest =
     let shell = shells.(dest) in
     if not (Packet.is_empty shell) then begin
-      let body = Codec.encode shell in
-      let payload = Bytes.create (2 + Bytes.length body) in
-      Bytes.set_uint16_le payload 0 dest;
-      Bytes.blit body 0 payload 2 (Bytes.length body);
-      Wire.write_frame fd Wire.Repartition payload;
+      write dest (Codec.encode shell);
       Packet.reset shell
     end
   in
@@ -134,6 +119,9 @@ let pump_repartition fd ~packet_size ~shard ~repartition next =
         let shell = shells.(dest) in
         Packet.add shell tuple;
         if Packet.is_full shell then begin
+          (* Between packets is the cancellation point: a Cancel frame
+             (or a torn-down connection) stops the stream without
+             waiting for the shard to drain. *)
           if cancelled fd then raise Exit;
           flush dest
         end;
@@ -174,12 +162,7 @@ let run ~socket ~resolve =
           report_failure exn;
           finish ()
       | repartition, next -> (
-          match
-            match repartition with
-            | None -> pump_merge fd ~packet_size ~shard next
-            | Some repartition ->
-                pump_repartition fd ~packet_size ~shard ~repartition next
-          with
+          match pump fd ~packet_size ~shard ~repartition next with
           | () -> (
               match Wire.write_frame fd Wire.Eos Bytes.empty with
               | () -> finish ()

@@ -331,9 +331,9 @@ let join_domain task =
   let d = task.t_domain in
   task.t_domain <- None;
   Mutex.unlock task.t_lock;
-  (* conclint: allow CL003 -- t_domain is only ever Some for dedicated
-     (one-domain-per-task) tasks; pool tasks carry None, so a fiber
-     awaiting a pool task can never reach this join. *)
+  (* conclint: allow CL003 -- Some only for dedicated tasks; a pool fiber
+     awaiting one (a remote exchange's producer) joins only after the task
+     recorded its result, when the domain is already exiting. *)
   match d with Some dom -> Domain.join dom | None -> ()
 
 let await task =

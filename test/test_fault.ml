@@ -186,6 +186,44 @@ let test_consumer_failure_cancels_producers () =
         ->
           check Alcotest.string "site" "port-receive" site))
 
+(* The keep-separate streams of a merge network share the exchange
+   consumer's failure path: a receive fault on one stream poisons the
+   shared port and surfaces once, as [Query_failed] at [port-receive] —
+   not as the raw injection. *)
+let test_merge_stream_receive_failure () =
+  with_domain_accounting (fun () ->
+      let faults =
+        Injector.make
+          {
+            Fault.seed = 1L;
+            rules =
+              [
+                {
+                  Fault.site = Fault.Port_receive;
+                  trigger = Fault.At_hit 3;
+                  action = Fault.Fail;
+                };
+              ];
+          }
+      in
+      let cfg =
+        Exchange.config ~degree:2 ~packet_size:2 ~flow_slack:(Some 1) ()
+      in
+      let merged =
+        Volcano_ops.Merge.exchange_merge ~faults cfg ~cmp:Tuple.compare
+          ~group:(Group.solo ()) ~input:(fun group ->
+            let rank = Group.rank group in
+            Iterator.generate ~count:10_000 ~f:(fun i ->
+                Tuple.of_ints [ i; rank ]))
+      in
+      match Iterator.consume merged with
+      | _ -> Alcotest.fail "expected Query_failed"
+      | exception
+          Exchange.Query_failed
+            { origin = Fault.Injected { site = Fault.Port_receive; _ }; site }
+        ->
+          check Alcotest.string "site" "port-receive" site)
+
 (* Nested exchange: the failure of an inner producer crosses both process
    boundaries and still arrives as a single Query_failed carrying the
    innermost site. *)
@@ -417,6 +455,8 @@ let suite =
       test_failed_producer_subtree_closed;
     Alcotest.test_case "consumer failure cancels producers" `Quick
       test_consumer_failure_cancels_producers;
+    Alcotest.test_case "merge stream receive failure" `Quick
+      test_merge_stream_receive_failure;
     Alcotest.test_case "nested failure wrapped once" `Quick
       test_nested_failure_single_wrap;
     Alcotest.test_case "early close of deep flow-controlled pipeline" `Quick

@@ -27,6 +27,9 @@ module Repart = Volcano_net.Repart
 module Serve = Volcano_net.Serve
 module Sched = Volcano_sched.Sched
 module Bufpool = Volcano_storage.Bufpool
+module Session = Volcano_plan.Session
+module Profile = Volcano_plan.Profile
+module Obs = Volcano_obs.Obs
 
 (* --- the test task vocabulary ---------------------------------------- *)
 
@@ -365,6 +368,33 @@ let test_remote_early_close () =
   | Timeout -> Alcotest.fail "early close hung (cancel never crossed)");
   check_quiescent ~what:"remote early close" env ~unjoined0 ~live0
 
+(* EXPLAIN ANALYZE over a remote edge: the exchange's sample counts
+   every forwarded packet on both sides of the local port, and one
+   producer task per worker process. *)
+let test_remote_profile () =
+  Session.with_session ~frames:128 ~page_size:512 (fun session ->
+      let env = Session.env session in
+      register env;
+      let unjoined0 = Exchange.unjoined_domains () in
+      let live0 = Exchange.live_domains () in
+      let plan = remote ~workers:2 ~task:"gen:3000" (gen_plan 3000) in
+      let report = Session.profile session (`Plan plan) in
+      Alcotest.(check int) "rows" 3000 report.Profile.rows;
+      let sample =
+        match report.Profile.obs.Compile.node_of plan with
+        | None -> Alcotest.fail "remote node not observed"
+        | Some node -> (
+            match Obs.exchange_sample report.Profile.sink ~node with
+            | Some sample -> sample
+            | None -> Alcotest.fail "remote node has no exchange sample")
+      in
+      Alcotest.(check bool) "packets flowed" true (sample.Obs.packets_sent > 0);
+      Alcotest.(check int)
+        "packets sent = received" sample.Obs.packets_sent
+        sample.Obs.packets_received;
+      Alcotest.(check int) "one producer per worker" 2 sample.Obs.domains;
+      check_quiescent ~what:"remote profile" env ~unjoined0 ~live0)
+
 (* Chaos at the network sites: a counted [Fail] at each site in turn
    must surface as one well-typed [Query_failed] carrying that site's
    name — connection refusal at launch, a dropped read, a failed write,
@@ -525,6 +555,8 @@ let suite =
     Alcotest.test_case "early close cancels across the socket" `Slow
       test_remote_early_close;
     Alcotest.test_case "faults at every net site" `Slow test_net_fault_sites;
+    Alcotest.test_case "profile reports the remote exchange" `Slow
+      test_remote_profile;
     Alcotest.test_case "planlint VL7xx remote pass" `Quick
       test_planlint_remote;
     Alcotest.test_case "serve: concurrent clients" `Quick
