@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks: per-call costs underlying the T1 table —
    record creation/consumption, the procedure-call exchange boundary, the
-   buffer manager's fix/unfix pair, packet filling, and the interpreted vs
-   compiled predicate paths. *)
+   buffer manager's fix/unfix pair, heap-file scans (whole file and one
+   page-range slice), packet filling, and the interpreted vs compiled
+   predicate paths. *)
 
 open Bechamel
 open Toolkit
@@ -11,6 +12,8 @@ module Group = Volcano.Group
 module Packet = Volcano.Packet
 module Bufpool = Volcano_storage.Bufpool
 module Device = Volcano_storage.Device
+module Heap_file = Volcano_storage.Heap_file
+module Scan = Volcano_ops.Scan
 module Expr = Volcano_tuple.Expr
 module Tuple = Volcano_tuple.Tuple
 
@@ -39,6 +42,22 @@ let fix_unfix =
       let f = Bufpool.fix pool dev page in
       Bufpool.unfix pool f
     done
+
+(* A resident 1k-record heap file: the storage layer's per-record cost
+   (fix, slot walk, in-place decode) with no I/O.  The slice row reads
+   one of four page ranges, a quarter of the records. *)
+let heap_scans =
+  let pool = Bufpool.create ~frames:64 ~page_size:4096 () in
+  let dev = Device.create_virtual ~page_size:4096 ~capacity:64 () in
+  let file = Heap_file.create ~buffer:pool ~device:dev ~name:"micro" in
+  let _ =
+    Scan.materialize
+      (Iterator.generate ~count:batch ~f:Bench_common.four_int_tuple)
+      ~into:file
+  in
+  let full () = ignore (Iterator.consume (Scan.heap file)) in
+  let slice () = ignore (Iterator.consume (Scan.heap ~rank:0 ~size:4 file)) in
+  (full, slice)
 
 let packet_fill =
   let tuple = Bench_common.four_int_tuple 7 in
@@ -70,11 +89,14 @@ let predicate_paths =
 
 let tests =
   let interpreted, compiled = predicate_paths in
+  let scan_full, scan_slice = heap_scans in
   Test.make_grouped ~name:"volcano"
     [
       Test.make ~name:"t1a-create-release-1k" (Staged.stage t1a_create_release);
       Test.make ~name:"t1b-interchange-1k" (Staged.stage t1b_interchange);
       Test.make ~name:"buffer-fix-unfix-1k" (Staged.stage fix_unfix);
+      Test.make ~name:"scan-heap-1k" (Staged.stage scan_full);
+      Test.make ~name:"scan-slice4-1k" (Staged.stage scan_slice);
       Test.make ~name:"packet-fill-83" (Staged.stage packet_fill);
       Test.make ~name:"pred-interpreted-1k" (Staged.stage interpreted);
       Test.make ~name:"pred-compiled-1k" (Staged.stage compiled);

@@ -2,20 +2,22 @@ module Heap_file = Volcano_storage.Heap_file
 module Serial = Volcano_tuple.Serial
 module Iterator = Volcano.Iterator
 
-let heap_filtered ~pred file =
+(* Decode a record in place in its pinned page: no copy of the record
+   before the tuple is built. *)
+let decode page off len = Serial.decode ~len page ~pos:off
+
+let heap_filtered ?(rank = 0) ?(size = 1) ~pred file =
   let cursor = ref None in
   Iterator.make
-    ~open_:(fun () -> cursor := Some (Heap_file.scan file))
+    ~open_:(fun () -> cursor := Some (Heap_file.scan_slice file ~rank ~size))
     ~next:(fun () ->
       match !cursor with
       | None -> invalid_arg "Scan.heap: not open"
       | Some c ->
           let rec step () =
-            match Heap_file.next c with
+            match Heap_file.next_with c decode with
             | None -> None
-            | Some (_rid, record) ->
-                let tuple = Serial.decode_bytes (Bytes.of_string record) in
-                if pred tuple then Some tuple else step ()
+            | Some tuple -> if pred tuple then Some tuple else step ()
           in
           step ())
     ~close:(fun () ->
@@ -25,15 +27,16 @@ let heap_filtered ~pred file =
           Heap_file.close_cursor c;
           cursor := None)
 
-let heap file = heap_filtered ~pred:(fun _ -> true) file
+let heap ?rank ?size file = heap_filtered ?rank ?size ~pred:(fun _ -> true) file
 
-(* The batch source for fused scan chains: the per-record decode stays
-   (records are variable-length on the page), but the iterator protocol
-   above it is gone — one [step] call refills a whole batch. *)
-let heap_cursor file =
+(* The batch source for fused scan chains: records are variable-length on
+   the page, so each one is still decoded on its own, but the iterator
+   protocol above it is gone — one [step] call refills a whole batch. *)
+let heap_cursor ?(rank = 0) ?(size = 1) file =
   let cursor = ref None in
   {
-    Volcano.Batch.reset = (fun () -> cursor := Some (Heap_file.scan file));
+    Volcano.Batch.reset =
+      (fun () -> cursor := Some (Heap_file.scan_slice file ~rank ~size));
     step =
       (fun ~emit ~max ->
         match !cursor with
@@ -42,10 +45,10 @@ let heap_cursor file =
             let n = ref 0 in
             (try
                while !n < max do
-                 match Heap_file.next c with
+                 match Heap_file.next_with c decode with
                  | None -> raise Exit
-                 | Some (_rid, record) ->
-                     emit (Serial.decode_bytes (Bytes.of_string record));
+                 | Some tuple ->
+                     emit tuple;
                      incr n
                done
              with Exit -> ());

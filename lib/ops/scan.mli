@@ -2,12 +2,18 @@
     algebra.  A scan deserializes stored records into tuples; everything
     above it is oblivious to storage ("anonymous inputs"). *)
 
-val heap : Volcano_storage.Heap_file.t -> Volcano.Iterator.t
-(** Full file scan in page order. *)
+val heap :
+  ?rank:int -> ?size:int -> Volcano_storage.Heap_file.t -> Volcano.Iterator.t
+(** File scan in page order.  With [~rank] and [~size] it reads only the
+    [rank]-th of [size] contiguous page ranges
+    ({!Volcano_storage.Heap_file.scan_slice}), so the [size] members of a
+    producer group together read each page once; the default is the whole
+    file.  Records are decoded in place in the pinned page. *)
 
-val heap_cursor : Volcano_storage.Heap_file.t -> Volcano.Batch.cursor
+val heap_cursor :
+  ?rank:int -> ?size:int -> Volcano_storage.Heap_file.t -> Volcano.Batch.cursor
 (** The batch source behind fused scan chains: a {!Volcano.Batch.cursor}
-    over the file in page order, for {!Volcano.Batch.fused}. *)
+    over the same pages as {!heap}, for {!Volcano.Batch.fused}. *)
 
 val heap_prefetched :
   daemon:Volcano_storage.Daemon.t ->
@@ -17,6 +23,8 @@ val heap_prefetched :
     into the buffer pool at open time (paper, section 4.5). *)
 
 val heap_filtered :
+  ?rank:int ->
+  ?size:int ->
   pred:Volcano_tuple.Support.predicate ->
   Volcano_storage.Heap_file.t ->
   Volcano.Iterator.t

@@ -51,9 +51,8 @@ let cursor_of_run run =
   | Spilled file ->
       let scan = Heap_file.scan file in
       let advance () =
-        match Heap_file.next scan with
-        | None -> None
-        | Some (_rid, record) -> Some (Serial.decode_bytes (Bytes.of_string record))
+        Heap_file.next_with scan (fun page off len ->
+            Serial.decode ~len page ~pos:off)
       in
       let cleanup () =
         Heap_file.close_cursor scan;

@@ -94,28 +94,15 @@ let exchange_obs obs plan =
   | None -> None
   | Some o -> Option.map (fun node -> (o.sink, node)) (o.node_of plan)
 
-(* Every Nth tuple, offset by the group rank — used by the slice leaves. *)
-let slice_iterator group inner =
+(* What member r of a group of size N scans for a table slice: the whole
+   partition file ["name#r"] if one is registered, otherwise the r-th of
+   N contiguous page ranges of ["name"].  Either way each stored page is
+   read by exactly one member. *)
+let table_slice env group name =
   let rank = Group.rank group and size = Group.size group in
-  if size = 1 then inner
-  else begin
-    let index = ref 0 in
-    Iterator.make
-      ~open_:(fun () ->
-        index := 0;
-        Iterator.open_ inner)
-      ~next:(fun () ->
-        let rec step () =
-          match Iterator.next inner with
-          | None -> None
-          | Some tuple ->
-              let i = !index in
-              incr index;
-              if i mod size = rank then Some tuple else step ()
-        in
-        step ())
-      ~close:(fun () -> Iterator.close inner)
-  end
+  match Env.table env (Printf.sprintf "%s#%d" name rank) with
+  | file, _ -> (file, 0, 1)
+  | exception Not_found -> (fst (Env.table env name), rank, size)
 
 let limit_iterator count inner =
   let remaining = ref count in
@@ -240,10 +227,10 @@ let instrumented_chain nodes pipeline =
    The per-record decoration the record path applies per node — the
    generic [Operator] fault site and the obs row count — becomes a tap
    stage per node, so faults fire and rows count inside the fused loop
-   exactly as they would in the nested-closure tree.  Stateful pieces
-   (the slice counter, distinct's seen table) hang their
-   re-initialization on [cursor.reset], so reopening the pipeline
-   replays from scratch like any iterator. *)
+   exactly as they would in the nested-closure tree.  Stateful stages
+   (distinct's seen table) hang their re-initialization on
+   [cursor.reset], so reopening the pipeline replays from scratch like
+   any iterator. *)
 type fused_chain = {
   fc_cursor : Batch.cursor;
   fc_stage : Support.Stage.t;
@@ -297,24 +284,9 @@ let fuse_chain env obs group plan =
           leaf plan (Batch.array_cursor (Array.of_list tuples))
       | Plan.Scan_table name ->
           leaf plan (Ops.Scan.heap_cursor (fst (Env.table env name)))
-      | Plan.Scan_table_slice name -> (
-          let rank = Group.rank group and size = Group.size group in
-          let partition_name = Printf.sprintf "%s#%d" name rank in
-          match Env.table env partition_name with
-          | file, _ -> leaf plan (Ops.Scan.heap_cursor file)
-          | exception Not_found ->
-              let cursor = Ops.Scan.heap_cursor (fst (Env.table env name)) in
-              if size = 1 then leaf plan cursor
-              else begin
-                let index = ref 0 in
-                on_reset (fun () -> index := 0);
-                let slice k tuple =
-                  let i = !index in
-                  incr index;
-                  if i mod size = rank then k tuple
-                in
-                Some (cursor, node_stages plan [ slice ])
-              end)
+      | Plan.Scan_table_slice name ->
+          let file, rank, size = table_slice env group name in
+          leaf plan (Ops.Scan.heap_cursor ~rank ~size file)
       | Plan.Filter { pred; mode; input } ->
           let pred =
             match mode with
@@ -479,13 +451,9 @@ and compile_node env ids obs group scope plan =
   in
   match plan with
   | Plan.Scan_table name -> Ops.Scan.heap (fst (Env.table env name))
-  | Plan.Scan_table_slice name -> (
-      let rank = Group.rank group in
-      let partition_name = Printf.sprintf "%s#%d" name rank in
-      match Env.table env partition_name with
-      | file, _ -> Ops.Scan.heap file
-      | exception Not_found ->
-          slice_iterator group (Ops.Scan.heap (fst (Env.table env name))))
+  | Plan.Scan_table_slice name ->
+      let file, rank, size = table_slice env group name in
+      Ops.Scan.heap ~rank ~size file
   | Plan.Scan_index { index; lo; hi } ->
       let tree, file, _key = Env.index env index in
       let encode t = Bytes.to_string (Volcano_tuple.Serial.encode t) in

@@ -223,7 +223,9 @@ let leaf ~parallel ~degree (s : B.select) singles eff i =
           | Some _ ->
               (* degree selection guarantees d = parts for sharded scans *)
               assert false
-          | None -> (Plan.Scan_table_slice name, P_none))
+          | None ->
+              (* unpartitioned: member r reads page range r *)
+              (Plan.Scan_table_slice name, P_none))
     | B.K_range count -> (Plan.Generate_range { start = 0; count }, P_none)
     | B.K_wisconsin { rows; seed } ->
         if parallel then (W.plan_slice ?seed ~n:rows (), P_none)

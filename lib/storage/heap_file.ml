@@ -7,6 +7,10 @@ type t = {
   mutable last_page : int;
   mutable pages : int;
   mutable records : int;
+  mutable dir : int array;
+      (* page directory: the first [pages] entries are the page numbers in
+         chain order.  Shorter than [pages] only after [open_existing],
+         until the first use rebuilds it (see [ensure_directory]). *)
 }
 
 let page_kind_heap = 1
@@ -25,6 +29,7 @@ let create ~buffer ~device ~name =
     last_page = -1;
     pages = 0;
     records = 0;
+    dir = [||];
   }
 
 let open_existing ~buffer ~device ~name =
@@ -40,6 +45,7 @@ let open_existing ~buffer ~device ~name =
         last_page = e.last_page;
         pages = e.pages;
         records = e.records;
+        dir = [||];
       }
 
 let name t = t.name
@@ -56,7 +62,30 @@ let sync_vtoc t =
       e.pages <- t.pages;
       e.records <- t.records
 
+let with_lock t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* Rebuild a stale directory with one walk of the on-disk chain; caller
+   holds [t.lock].  The chain is the truth: its length becomes the page
+   count. *)
+let ensure_directory t =
+  if Array.length t.dir < t.pages then begin
+    let rec walk page acc =
+      if page = -1 then List.rev acc
+      else begin
+        let frame = Bufpool.fix t.buffer t.device page in
+        let next = Page.next_page (Bufpool.bytes frame) in
+        Bufpool.unfix t.buffer frame;
+        walk next (page :: acc)
+      end
+    in
+    t.dir <- Array.of_list (walk t.first_page []);
+    t.pages <- Array.length t.dir
+  end
+
 let add_page t =
+  ensure_directory t;
   let page_no = Device.allocate t.device in
   let frame =
     try Bufpool.fix_new t.buffer t.device page_no
@@ -83,15 +112,18 @@ let add_page t =
      raise exn);
   if t.first_page = -1 then t.first_page <- page_no;
   t.last_page <- page_no;
+  if t.pages = Array.length t.dir then begin
+    let grown = Array.make (max 8 (2 * t.pages)) (-1) in
+    Array.blit t.dir 0 grown 0 t.pages;
+    t.dir <- grown
+  end;
+  t.dir.(t.pages) <- page_no;
   t.pages <- t.pages + 1;
   (page_no, frame)
 
 let insert t record =
   if String.length record = 0 then invalid_arg "Heap_file.insert: empty record";
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
+  with_lock t (fun () ->
       let page_no, frame =
         if t.last_page = -1 then add_page t
         else (t.last_page, Bufpool.fix t.buffer t.device t.last_page)
@@ -128,11 +160,8 @@ let get t rid =
 
 let delete t rid =
   if rid.Rid.device <> Device.id t.device then false
-  else begin
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
+  else
+    with_lock t (fun () ->
         let frame = Bufpool.fix t.buffer t.device rid.Rid.page in
         let deleted = Page.delete (Bufpool.bytes frame) rid.Rid.slot in
         if deleted then begin
@@ -141,43 +170,63 @@ let delete t rid =
         end;
         Bufpool.unfix t.buffer frame;
         deleted)
-  end
 
 let update t rid record =
   if rid.Rid.device <> Device.id t.device then false
-  else begin
-    Mutex.lock t.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () ->
+  else
+    with_lock t (fun () ->
         let frame = Bufpool.fix t.buffer t.device rid.Rid.page in
         let updated = Page.replace (Bufpool.bytes frame) rid.Rid.slot record in
         if updated then Bufpool.mark_dirty frame;
         Bufpool.unfix t.buffer frame;
         updated)
-  end
 
 let page_chain t =
-  let rec walk page acc =
-    if page = -1 then List.rev acc
-    else begin
-      let frame = Bufpool.fix t.buffer t.device page in
-      let next = Page.next_page (Bufpool.bytes frame) in
-      Bufpool.unfix t.buffer frame;
-      walk next (page :: acc)
-    end
-  in
-  walk t.first_page []
+  with_lock t (fun () ->
+      ensure_directory t;
+      List.init t.pages (Array.get t.dir))
 
 type cursor = {
   file : t;
   mutable frame : Bufpool.frame option; (* currently pinned page *)
+  mutable index : int; (* directory index of the current page *)
+  stop : int; (* directory index one past the range; [max_int] = live end *)
   mutable page_no : int;
   mutable slot : int;
   mutable finished : bool;
 }
 
-let scan t = { file = t; frame = None; page_no = t.first_page; slot = 0; finished = t.first_page = -1 }
+let scan_slice t ~rank ~size =
+  if size < 1 || rank < 0 || rank >= size then
+    invalid_arg "Heap_file.scan_slice: rank out of range";
+  let lo, stop =
+    with_lock t (fun () ->
+        ensure_directory t;
+        let n = t.pages in
+        let stop = if rank = size - 1 then max_int else (rank + 1) * n / size in
+        (rank * n / size, stop))
+  in
+  {
+    file = t;
+    frame = None;
+    index = lo;
+    stop;
+    page_no = -1;
+    slot = 0;
+    finished = false;
+  }
+
+let scan t = scan_slice t ~rank:0 ~size:1
+
+(* The page at the cursor's directory index, or [None] past its range.
+   The page count is read under the lock, so the live-end range sees
+   pages appended while the scan is open. *)
+let current_page cursor =
+  let t = cursor.file in
+  if cursor.index >= cursor.stop then None
+  else
+    with_lock t (fun () ->
+        if cursor.index < t.pages then Some t.dir.(cursor.index) else None)
 
 let release cursor =
   match cursor.frame with
@@ -190,41 +239,42 @@ let close_cursor cursor =
   release cursor;
   cursor.finished <- true
 
-let rec next cursor =
+let rec next_with cursor f =
   if cursor.finished then None
   else
     match cursor.frame with
-    | None ->
-        if cursor.page_no = -1 then begin
-          cursor.finished <- true;
-          None
-        end
-        else begin
-          cursor.frame <-
-            Some (Bufpool.fix cursor.file.buffer cursor.file.device cursor.page_no);
-          cursor.slot <- 0;
-          next cursor
-        end
+    | None -> (
+        match current_page cursor with
+        | None ->
+            cursor.finished <- true;
+            None
+        | Some page_no ->
+            cursor.page_no <- page_no;
+            cursor.frame <- Some (Bufpool.fix cursor.file.buffer cursor.file.device page_no);
+            cursor.slot <- 0;
+            next_with cursor f)
     | Some frame ->
         let data = Bufpool.bytes frame in
         if cursor.slot >= Page.n_slots data then begin
-          let next_page = Page.next_page data in
           release cursor;
-          cursor.page_no <- next_page;
-          next cursor
+          cursor.index <- cursor.index + 1;
+          next_with cursor f
         end
         else begin
           let slot = cursor.slot in
           cursor.slot <- slot + 1;
-          match Page.read data slot with
-          | None -> next cursor
-          | Some record ->
-              let rid =
-                Rid.make ~device:(Device.id cursor.file.device)
-                  ~page:cursor.page_no ~slot
-              in
-              Some (rid, record)
+          let len = Page.record_len data slot in
+          if len = 0 then next_with cursor f
+          else Some (f data (Page.record_off data slot) len)
         end
+
+let next cursor =
+  next_with cursor (fun data off len ->
+      let rid =
+        Rid.make ~device:(Device.id cursor.file.device) ~page:cursor.page_no
+          ~slot:(cursor.slot - 1)
+      in
+      (rid, Bytes.sub_string data off len))
 
 let iter t f =
   let cursor = scan t in
@@ -238,29 +288,17 @@ let iter t f =
   Fun.protect ~finally:(fun () -> close_cursor cursor) step
 
 let drop t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      (* Walk the chain collecting page numbers before purging frames. *)
-      let rec chain page acc =
-        if page = -1 then List.rev acc
-        else begin
-          let frame = Bufpool.fix t.buffer t.device page in
-          let next = Page.next_page (Bufpool.bytes frame) in
-          Bufpool.unfix t.buffer frame;
-          chain next (page :: acc)
-        end
-      in
-      let pages = chain t.first_page [] in
-      List.iter
-        (fun p ->
-          let _ = Bufpool.flush_page t.buffer t.device p in
-          Device.free t.device p)
-        pages;
+  with_lock t (fun () ->
+      ensure_directory t;
+      for i = 0 to t.pages - 1 do
+        let page = t.dir.(i) in
+        let _ = Bufpool.flush_page t.buffer t.device page in
+        Device.free t.device page
+      done;
       t.first_page <- -1;
       t.last_page <- -1;
       t.pages <- 0;
       t.records <- 0;
+      t.dir <- [||];
       let _ = Vtoc.remove (Device.vtoc t.device) t.name in
       ())

@@ -46,6 +46,11 @@ val read : bytes -> int -> string option
 (** [read page slot] is the record at [slot], or [None] if the slot is dead
     or out of range. *)
 
+val record_off : bytes -> int -> int
+val record_len : bytes -> int -> int
+(** Where the record at a slot below {!n_slots} lies in the page, for
+    reading it in place; length 0 marks a dead slot. *)
+
 val delete : bytes -> int -> bool
 (** Mark a slot dead.  Returns [false] if it was already dead or invalid. *)
 

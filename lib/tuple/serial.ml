@@ -45,12 +45,20 @@ let encode t =
   let _ = encode_into t buf ~pos:0 in
   buf
 
-let decode buf ~pos =
-  if pos + 2 > Bytes.length buf then invalid_arg "Serial.decode: truncated header";
+let decode ?len buf ~pos =
+  let limit =
+    match len with
+    | None -> Bytes.length buf
+    | Some len ->
+        if len < 0 || pos + len > Bytes.length buf then
+          invalid_arg "Serial.decode: length out of bounds";
+        pos + len
+  in
+  if pos + 2 > limit then invalid_arg "Serial.decode: truncated header";
   let nfields = Bytes.get_uint16_le buf pos in
   let cursor = ref (pos + 2) in
   let need n =
-    if !cursor + n > Bytes.length buf then invalid_arg "Serial.decode: truncated field"
+    if !cursor + n > limit then invalid_arg "Serial.decode: truncated field"
   in
   let get_field () =
     need 1;

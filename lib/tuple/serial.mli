@@ -12,8 +12,12 @@ val encode_into : Tuple.t -> bytes -> pos:int -> int
 (** [encode_into t buf ~pos] writes at [pos] and returns the bytes written.
     @raise Invalid_argument if the buffer is too small. *)
 
-val decode : bytes -> pos:int -> Tuple.t
-(** @raise Invalid_argument on malformed input. *)
+val decode : ?len:int -> bytes -> pos:int -> Tuple.t
+(** Decode the tuple at [pos].  With [~len], the record is the [len]
+    bytes from [pos] — a record in place inside a larger buffer such as a
+    page — and a field running past them is truncation even where the
+    buffer goes on; without it the record may run to the buffer's end.
+    @raise Invalid_argument on malformed input. *)
 
 val decode_bytes : bytes -> Tuple.t
 (** Decode a buffer produced by {!encode}. *)

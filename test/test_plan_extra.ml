@@ -244,6 +244,54 @@ let test_limit_over_merge_network () =
   check (Alcotest.list Alcotest.int) "smallest first" (List.init 25 Fun.id)
     (List.map (fun t -> Tuple.int_exn t 0) rows)
 
+(* --- sliced scans of an unpartitioned table --- *)
+
+(* A degree-4 sliced scan of a table with no partition files splits the
+   heap file into page ranges: each page is fixed once per query, on the
+   fused path and record-at-a-time, and the rows are the serial scan's. *)
+let test_slice_scan_reads_each_page_once () =
+  let e = Env.create ~frames:128 ~page_size:512 () in
+  let file =
+    Env.create_table e ~name:"t"
+      ~schema:
+        (Volcano_tuple.Schema.of_names
+           [ ("a", Value.Tint); ("b", Value.Tint) ])
+  in
+  for i = 0 to 1999 do
+    ignore
+      (Volcano_storage.Heap_file.insert file
+         (Bytes.to_string (Volcano_tuple.Serial.encode (Tuple.of_ints [ i; i mod 7 ]))))
+  done;
+  let pages = Volcano_storage.Heap_file.page_count file in
+  check Alcotest.bool "many pages" true (pages > 8);
+  let sliced =
+    Plan.Exchange
+      { cfg = Exchange.config ~degree:4 (); input = Plan.Scan_table_slice "t" }
+  in
+  let serial = sorted e (Plan.Scan_table "t") in
+  let fixes () =
+    let s = Volcano_storage.Bufpool.stats (Env.buffer e) in
+    s.Volcano_storage.Bufpool.hits + s.Volcano_storage.Bufpool.misses
+  in
+  List.iter
+    (fun batch ->
+      Env.set_batch_size e batch;
+      let before = fixes () in
+      let rows = List.sort Tuple.compare (Runner.run e sliced) in
+      check Alcotest.int
+        (Printf.sprintf "batch %d: one fix per page" batch)
+        pages
+        (fixes () - before);
+      check Alcotest.int
+        (Printf.sprintf "batch %d: cardinality" batch)
+        (List.length serial) (List.length rows);
+      check Alcotest.bool
+        (Printf.sprintf "batch %d: rows = serial scan" batch)
+        true
+        (List.for_all2 Tuple.equal serial rows))
+    [ Volcano.Batch.default_size; 0 ];
+  Volcano_storage.Bufpool.assert_quiescent ~what:"slice scan" (Env.buffer e)
+
 let suite =
   [
     Alcotest.test_case "two-phase aggregate" `Quick test_two_phase_aggregate;
@@ -254,6 +302,8 @@ let suite =
       test_index_with_choose_plan;
     Alcotest.test_case "end-to-end query serial = parallel" `Quick
       test_end_to_end_query;
+    Alcotest.test_case "sliced scan reads each page once" `Quick
+      test_slice_scan_reads_each_page_once;
     Alcotest.test_case "limit over merge network" `Quick
       test_limit_over_merge_network;
   ]

@@ -116,6 +116,134 @@ let test_prefetched_scan () =
   check Alcotest.int "all rows" 200 !count;
   Bufpool.assert_quiescent ~what:"prefetched scan" buffer
 
+(* Read-ahead takes its page list from the directory: listing the pages of
+   a file that is no longer resident must not read the file. *)
+let test_page_chain_reads_nothing () =
+  let buffer, device = make_store () in
+  let file = Heap_file.create ~buffer ~device ~name:"t" in
+  for i = 0 to 99 do
+    ignore (Heap_file.insert file (Printf.sprintf "record number %06d" i))
+  done;
+  Bufpool.flush_all buffer;
+  Bufpool.purge_device buffer device;
+  let reads = Device.reads device in
+  let chain = Heap_file.page_chain file in
+  check Alcotest.int "chain length" (Heap_file.page_count file)
+    (List.length chain);
+  check Alcotest.int "no device reads" reads (Device.reads device);
+  Bufpool.assert_quiescent ~what:"page chain reads" buffer
+
+(* --- sliced scans partition the file --- *)
+
+let drain_cursor cursor =
+  let rec go acc =
+    match Heap_file.next cursor with
+    | Some (rid, record) -> go ((rid, record) :: acc)
+    | None ->
+        Heap_file.close_cursor cursor;
+        List.rev acc
+  in
+  go []
+
+(* For every slice count 1..8: the slices' RIDs are pairwise disjoint and
+   their records, together, are [scan]'s records as a multiset. *)
+let check_slices_partition what file =
+  let full = drain_cursor (Heap_file.scan file) in
+  let sort_records l = List.sort compare (List.map snd l) in
+  for size = 1 to 8 do
+    let slices =
+      List.init size (fun rank ->
+          drain_cursor (Heap_file.scan_slice file ~rank ~size))
+    in
+    let all = List.concat slices in
+    let rids = List.map fst all in
+    check Alcotest.int
+      (Printf.sprintf "%s: size %d disjoint by RID" what size)
+      (List.length rids)
+      (List.length (List.sort_uniq compare rids));
+    check
+      (Alcotest.list Alcotest.string)
+      (Printf.sprintf "%s: size %d union = scan" what size)
+      (sort_records full) (sort_records all)
+  done
+
+let fill_file file ~records ~delete_every =
+  let rids =
+    List.init records (fun i ->
+        Heap_file.insert file (Printf.sprintf "row %05d of the file" i))
+  in
+  if delete_every > 0 then
+    List.iteri
+      (fun i rid -> if i mod delete_every = 0 then ignore (Heap_file.delete file rid))
+      rids
+
+let test_slices_partition () =
+  List.iter
+    (fun (what, records, delete_every, pages_ok) ->
+      let buffer, device = make_store () in
+      let file = Heap_file.create ~buffer ~device ~name:"t" in
+      fill_file file ~records ~delete_every;
+      check Alcotest.bool (what ^ ": page count") true
+        (pages_ok (Heap_file.page_count file));
+      check_slices_partition what file;
+      Heap_file.drop file;
+      check_slices_partition (what ^ ", dropped") file;
+      Bufpool.assert_quiescent ~what buffer)
+    [
+      ("empty", 0, 0, fun n -> n = 0);
+      ("one page", 3, 0, fun n -> n = 1);
+      ("fewer pages than slices", 20, 0, fun n -> n > 1 && n < 8);
+      ("many pages", 400, 0, fun n -> n > 8);
+      ("deleted records", 400, 3, fun n -> n > 8);
+    ]
+
+(* After [open_existing] on a real device the directory is rebuilt from
+   the on-disk page chain; the slices still partition the file. *)
+let test_slices_partition_reopened () =
+  let path = Filename.temp_file "volcano" ".dev" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let buffer = Bufpool.create ~frames:16 ~page_size:256 () in
+      let device = Device.create_real ~path ~page_size:256 ~capacity:256 in
+      let file = Heap_file.create ~buffer ~device ~name:"t" in
+      fill_file file ~records:400 ~delete_every:5;
+      let pages = Heap_file.page_chain file in
+      Heap_file.sync_vtoc file;
+      Bufpool.flush_all buffer;
+      Bufpool.purge_device buffer device;
+      Device.close device;
+      let buffer = Bufpool.create ~frames:16 ~page_size:256 () in
+      let device = Device.open_real ~path in
+      let file = Heap_file.open_existing ~buffer ~device ~name:"t" in
+      check_slices_partition "reopened" file;
+      check (Alcotest.list Alcotest.int) "rebuilt chain" pages
+        (Heap_file.page_chain file);
+      (* Appending after the rebuild extends the directory. *)
+      ignore (Heap_file.insert file (String.make 200 'z'));
+      check Alcotest.int "appended page listed"
+        (List.length pages + 1)
+        (List.length (Heap_file.page_chain file));
+      check_slices_partition "reopened + appended" file;
+      Bufpool.assert_quiescent ~what:"reopened slices" buffer;
+      Device.close device)
+
+(* The last slice runs to the live end: pages appended while it is open
+   are scanned, as a full scan always did. *)
+let test_last_slice_sees_appends () =
+  let buffer, device = make_store () in
+  let file = Heap_file.create ~buffer ~device ~name:"t" in
+  fill_file file ~records:40 ~delete_every:0;
+  let before = Heap_file.record_count file in
+  let first = Heap_file.scan_slice file ~rank:0 ~size:2 in
+  let last = Heap_file.scan_slice file ~rank:1 ~size:2 in
+  fill_file file ~records:40 ~delete_every:0;
+  let n_first = List.length (drain_cursor first) in
+  let n_last = List.length (drain_cursor last) in
+  check Alcotest.int "every record once" (before + 40) (n_first + n_last);
+  check Alcotest.bool "first slice kept its range" true (n_first < before);
+  Bufpool.assert_quiescent ~what:"live end" buffer
+
 (* --- buffer statistics sanity --- *)
 
 let test_buffer_hit_ratio () =
@@ -210,6 +338,13 @@ let suite =
     Alcotest.test_case "update dead rid" `Quick test_update_dead_rid;
     Alcotest.test_case "page chain" `Quick test_page_chain;
     Alcotest.test_case "prefetched scan via daemon" `Quick test_prefetched_scan;
+    Alcotest.test_case "page chain reads nothing" `Quick
+      test_page_chain_reads_nothing;
+    Alcotest.test_case "slices partition the file" `Quick test_slices_partition;
+    Alcotest.test_case "slices partition a reopened file" `Quick
+      test_slices_partition_reopened;
+    Alcotest.test_case "last slice sees appends" `Quick
+      test_last_slice_sees_appends;
     Alcotest.test_case "buffer hit ratio" `Quick test_buffer_hit_ratio;
     Alcotest.test_case "flush_all persists dirty pages" `Quick
       test_flush_all_persists;

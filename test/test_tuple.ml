@@ -167,6 +167,26 @@ let test_serial_offset () =
   check Alcotest.bool "first" true (Tuple.equal t1 (Serial.decode buf ~pos:0));
   check Alcotest.bool "second" true (Tuple.equal t2 (Serial.decode buf ~pos:n1))
 
+(* A record decoded in place inside a larger buffer (a page): with [~len]
+   every strict prefix is truncation, even though valid bytes — here a
+   second copy of the record — continue past it. *)
+let prop_serial_decode_in_place =
+  QCheck.Test.make ~name:"in-place decode rejects every strict prefix"
+    ~count:300 tuple_arb (fun t ->
+      let record = Serial.encode t in
+      let n = Bytes.length record in
+      let pos = 5 in
+      let buf = Bytes.make (pos + (2 * n)) '\xff' in
+      Bytes.blit record 0 buf pos n;
+      Bytes.blit record 0 buf (pos + n) n;
+      let rejects len =
+        match Serial.decode ~len buf ~pos with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Tuple.equal t (Serial.decode ~len:n buf ~pos)
+      && List.for_all rejects (List.init n Fun.id))
+
 let test_support_comparators () =
   let cmp = Support.compare_on [ (0, Support.Asc); (1, Support.Desc) ] in
   let a = Tuple.of_ints [ 1; 5 ] and b = Tuple.of_ints [ 1; 9 ] in
@@ -207,6 +227,7 @@ let suite =
     Alcotest.test_case "string prefix predicate" `Quick test_str_prefix;
     QCheck_alcotest.to_alcotest prop_serial_roundtrip;
     Alcotest.test_case "serialization at offsets" `Quick test_serial_offset;
+    QCheck_alcotest.to_alcotest prop_serial_decode_in_place;
     Alcotest.test_case "support comparators" `Quick test_support_comparators;
     Alcotest.test_case "partition functions" `Quick test_partition_fns;
   ]
