@@ -35,7 +35,7 @@ type t = {
   rt_sched : Sched.t;
   rt_max : int;
   lock : Mutex.t;
-  quiet : Condition.t; (* signaled when [active] drops to 0 *)
+  quiet : Sched.Event.t; (* fired once closed with [active] at 0 *)
   pending : entry Queue.t;
   mutable running : int;
   mutable active : int; (* submitted jobs not yet fully retired *)
@@ -61,7 +61,7 @@ let create ?max_concurrent sched =
     rt_sched = sched;
     rt_max = max_c;
     lock = Mutex.create ();
-    quiet = Condition.create ();
+    quiet = Sched.Event.create ();
     pending = Queue.create ();
     running = 0;
     active = 0;
@@ -164,16 +164,18 @@ let pump t =
   in
   fill ();
   t.active <- t.active - !retired;
-  if t.active = 0 then Condition.broadcast t.quiet;
+  let quiet = t.shut && t.active = 0 in
   Mutex.unlock t.lock;
+  if quiet then Sched.Event.fire t.quiet;
   List.iter (fun launch -> launch ()) !launches
 
 let release_slot t =
   Mutex.lock t.lock;
   t.running <- t.running - 1;
   t.active <- t.active - 1;
-  if t.active = 0 then Condition.broadcast t.quiet;
+  let quiet = t.shut && t.active = 0 in
   Mutex.unlock t.lock;
+  if quiet then Sched.Event.fire t.quiet;
   pump t
 
 (* ------------------------------------------------------------------ *)
@@ -300,11 +302,9 @@ let close t =
   t.shut <- true;
   Mutex.unlock t.lock;
   (* Anything still queued and not yet cancelled gets to run; pump in
-     case no running job remains to trigger the next launch. *)
+     case no running job remains to trigger the next launch (and to fire
+     [quiet] if none is active).  Once shut, [active] only falls, so
+     [quiet] fires exactly when the last job retires. *)
   pump t;
-  Mutex.lock t.lock;
-  while t.active > 0 do
-    Condition.wait t.quiet t.lock
-  done;
-  Mutex.unlock t.lock;
+  Sched.Event.wait t.quiet;
   timer_stop t.timer

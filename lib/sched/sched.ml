@@ -13,7 +13,11 @@ module Obs = Volcano_obs.Obs
    publish list, an event's waker list).  Waking re-enqueues the
    continuation as an ordinary job, so the fiber resumes on whichever
    worker is free — the deep handler travels with the continuation, so
-   later suspensions of the same fiber are handled identically. *)
+   later suspensions of the same fiber are handled identically.
+
+   [suspend] called anywhere else blocks the calling thread instead
+   ([block]), with the same register/wake contract, so every blocking
+   point in the engine has one wait path whatever context it runs in. *)
 
 type job = unit -> unit
 
@@ -42,25 +46,90 @@ type pool = {
 type ded = { d_submitted : int Atomic.t; d_completed : int Atomic.t }
 type t = Pool of pool | Dedicated of ded
 
-type 'a task = {
-  t_lock : Mutex.t;
-  t_done : Condition.t;
-  mutable t_result : ('a, exn) result option;
-  mutable t_wakers : (unit -> unit) list;
-  mutable t_domain : unit Domain.t option; (* dedicated mode only *)
-}
-
 type _ Effect.t += Suspend : ((unit -> unit) -> bool) -> unit Effect.t
 
 (* Which pool (and which of its workers) the calling domain belongs to. *)
 let dls_key : (pool * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let on_pool () = Option.is_some (Domain.DLS.get dls_key)
+(* Off the pool there is no fiber to unwind, so a suspension blocks the
+   calling thread on a mutex/condition pair taken from a free list
+   cached per domain, and returns it afterwards: each blocked thread
+   sleeps on its own pair, so a wake reaches one thread, not every
+   systhread of the domain (hundreds of serve handlers).  Each
+   suspension brings its own [fired] flag and loops until that flag is
+   set, so a stale waker from an earlier suspension that broadcasts on a
+   since-reused pair costs at most a spurious wakeup. *)
+type parker = { pk_lock : Mutex.t; pk_cond : Condition.t }
+
+let parkers : parker list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
+
+let rec take_parker free =
+  match Atomic.get free with
+  | [] -> { pk_lock = Mutex.create (); pk_cond = Condition.create () }
+  | pk :: rest as l ->
+      if Atomic.compare_and_set free l rest then pk else take_parker free
+
+let rec give_parker free pk =
+  let l = Atomic.get free in
+  if not (Atomic.compare_and_set free l (pk :: l)) then give_parker free pk
+
+let block register =
+  let free = Domain.DLS.get parkers in
+  let pk = take_parker free in
+  let fired = Atomic.make false in
+  let wake () =
+    if not (Atomic.exchange fired true) then begin
+      Mutex.lock pk.pk_lock;
+      Condition.broadcast pk.pk_cond;
+      Mutex.unlock pk.pk_lock
+    end
+  in
+  if register wake then begin
+    Mutex.lock pk.pk_lock;
+    while not (Atomic.get fired) do
+      Condition.wait pk.pk_cond pk.pk_lock
+    done;
+    Mutex.unlock pk.pk_lock
+  end;
+  give_parker free pk
 
 let suspend register =
-  if on_pool () then Effect.perform (Suspend register)
-  else invalid_arg "Sched.suspend: not inside a pool fiber"
+  match Domain.DLS.get dls_key with
+  | Some _ -> Effect.perform (Suspend register)
+  | None -> block register
+
+(* ------------------------------------------------------------------ *)
+(* Events                                                              *)
+
+(* Lock-free on both sides.  A registration pushes its waker, then
+   re-checks the flag; [fire] raises the flag before taking the list, so
+   a push that still sees the flag down is found by the take.  No lock
+   means no lock held across an allocation: a systhread preempted there
+   would stall the pool worker trying to fire. *)
+module Event = struct
+  type t = { e_fired : bool Atomic.t; e_wakers : (unit -> unit) list Atomic.t }
+
+  let create () = { e_fired = Atomic.make false; e_wakers = Atomic.make [] }
+  let fired e = Atomic.get e.e_fired
+
+  let fire e =
+    if not (Atomic.exchange e.e_fired true) then
+      List.iter (fun wake -> wake ()) (Atomic.exchange e.e_wakers [])
+
+  let rec push e wake =
+    let l = Atomic.get e.e_wakers in
+    if not (Atomic.compare_and_set e.e_wakers l (wake :: l)) then push e wake
+
+  let rec wait e =
+    if not (fired e) then begin
+      suspend (fun wake ->
+          push e wake;
+          not (fired e));
+      wait e
+    end
+end
 
 (* ------------------------------------------------------------------ *)
 (* Run queues                                                          *)
@@ -265,23 +334,24 @@ let shutdown = function
 (* ------------------------------------------------------------------ *)
 (* Tasks                                                               *)
 
+type 'a task = {
+  mutable t_result : ('a, exn) result option; (* set before [t_done] fires *)
+  t_done : Event.t;
+  t_lock : Mutex.t; (* guards [t_domain] *)
+  mutable t_domain : unit Domain.t option; (* dedicated mode only *)
+}
+
 let make_task () =
   {
-    t_lock = Mutex.create ();
-    t_done = Condition.create ();
     t_result = None;
-    t_wakers = [];
+    t_done = Event.create ();
+    t_lock = Mutex.create ();
     t_domain = None;
   }
 
 let complete task r =
-  Mutex.lock task.t_lock;
   task.t_result <- Some r;
-  let wakers = task.t_wakers in
-  task.t_wakers <- [];
-  Condition.broadcast task.t_done;
-  Mutex.unlock task.t_lock;
-  List.iter (fun wake -> wake ()) wakers
+  Event.fire task.t_done
 
 let record_latency pool dt =
   Mutex.lock pool.lat_lock;
@@ -318,12 +388,6 @@ let fork t f =
       enqueue pool (fun () -> exec_fiber pool fiber));
   task
 
-let peek task =
-  Mutex.lock task.t_lock;
-  let r = task.t_result in
-  Mutex.unlock task.t_lock;
-  r
-
 (* Dedicated mode: reap the domain once its result is recorded.  Guarded
    swap so concurrent awaiters join at most once. *)
 let join_domain task =
@@ -337,94 +401,9 @@ let join_domain task =
   match d with Some dom -> Domain.join dom | None -> ()
 
 let await task =
-  let result =
-    match peek task with
-    | Some r -> r
-    | None ->
-        if on_pool () then begin
-          let rec loop () =
-            match peek task with
-            | Some r -> r
-            | None ->
-                suspend (fun wake ->
-                    Mutex.lock task.t_lock;
-                    let still_pending = Option.is_none task.t_result in
-                    if still_pending then
-                      task.t_wakers <- wake :: task.t_wakers;
-                    Mutex.unlock task.t_lock;
-                    still_pending);
-                loop ()
-          in
-          loop ()
-        end
-        else begin
-          Mutex.lock task.t_lock;
-          while Option.is_none task.t_result do
-            Condition.wait task.t_done task.t_lock
-          done;
-          let r = Option.get task.t_result in
-          Mutex.unlock task.t_lock;
-          r
-        end
-  in
+  Event.wait task.t_done;
   join_domain task;
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Events                                                              *)
-
-module Event = struct
-  type t = {
-    e_fired : bool Atomic.t;
-    e_lock : Mutex.t;
-    e_cond : Condition.t;
-    mutable e_wakers : (unit -> unit) list;
-  }
-
-  let create () =
-    {
-      e_fired = Atomic.make false;
-      e_lock = Mutex.create ();
-      e_cond = Condition.create ();
-      e_wakers = [];
-    }
-
-  let fired e = Atomic.get e.e_fired
-
-  let fire e =
-    if not (Atomic.exchange e.e_fired true) then begin
-      Mutex.lock e.e_lock;
-      let wakers = e.e_wakers in
-      e.e_wakers <- [];
-      Condition.broadcast e.e_cond;
-      Mutex.unlock e.e_lock;
-      List.iter (fun wake -> wake ()) wakers
-    end
-
-  let wait e =
-    if not (fired e) then
-      if on_pool () then begin
-        let rec loop () =
-          if not (fired e) then begin
-            suspend (fun wake ->
-                Mutex.lock e.e_lock;
-                let pending = not (Atomic.get e.e_fired) in
-                if pending then e.e_wakers <- wake :: e.e_wakers;
-                Mutex.unlock e.e_lock;
-                pending);
-            loop ()
-          end
-        in
-        loop ()
-      end
-      else begin
-        Mutex.lock e.e_lock;
-        while not (Atomic.get e.e_fired) do
-          Condition.wait e.e_cond e.e_lock
-        done;
-        Mutex.unlock e.e_lock
-      end
-end
+  Option.get task.t_result
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

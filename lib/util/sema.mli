@@ -1,10 +1,12 @@
 (** Counting semaphores built on [Mutex] and [Condition].
 
-    Volcano's exchange operator uses semaphores for three purposes: to signal
-    packet arrival, to implement flow control ("back pressure"), and to
-    sequence the orderly shutdown of producer process groups.  OCaml domains
-    share memory, so a mutex/condition pair gives the same semantics as the
-    Sequent Symmetry semaphores in the paper. *)
+    The paper's exchange operator uses semaphores to signal packet arrival,
+    to implement flow control ("back pressure"), and to sequence the
+    orderly shutdown of producer process groups.  This engine's exchange
+    does none of that with semaphores: port lanes are SPSC rings, and every
+    wait parks a waker through [Sched.suspend].  The module remains a plain
+    blocking counter for tests and tools that want one; it must not be
+    acquired from a pool fiber, which it would block with its worker. *)
 
 type t
 

@@ -67,8 +67,8 @@ let test_event () =
   with_pool (fun sched ->
       let gate = Sched.Event.create () in
       check Alcotest.bool "not fired" false (Sched.Event.fired gate);
-      (* Waiters both on-pool (fiber suspends) and off-pool (condition
-         wait) must wake on one fire. *)
+      (* Waiters both on-pool (fiber suspends) and off-pool (the domain
+         blocks) must wake on one fire. *)
       let waiter = Sched.fork sched (fun () -> Sched.Event.wait gate; 7) in
       let firer =
         Sched.fork sched (fun () ->
@@ -81,10 +81,108 @@ let test_event () =
       ignore (Sched.await firer : (unit, exn) result);
       Sched.Event.fire gate (* idempotent *))
 
-let test_suspend_off_pool_rejected () =
-  Alcotest.check_raises "suspend off pool"
-    (Invalid_argument "Sched.suspend: not inside a pool fiber") (fun () ->
-      Sched.suspend (fun _ -> false))
+(* Off the pool, [suspend] blocks the calling thread on a mutex/condition
+   pair cached by its domain until its own waker runs.  A hang here is a
+   lost wakeup, so every wait below is bounded and fails instead. *)
+let within ?(limit = 5.0) what cond =
+  let deadline = Unix.gettimeofday () +. limit in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out: %s" what;
+    Unix.sleepf 1e-3
+  done
+
+let test_suspend_off_pool_blocks () =
+  let calls = Atomic.make 0 in
+  let quick =
+    Domain.spawn (fun () ->
+        Sched.suspend (fun _ ->
+            Atomic.incr calls;
+            false);
+        Atomic.incr calls)
+  in
+  within "register false returns at once" (fun () -> Atomic.get calls = 2);
+  Domain.join quick;
+  (* One plain domain suspends three times; the test domain wakes it. *)
+  let wakers = Atomic.make [] in
+  let returned = Atomic.make 0 in
+  let keep wake = Atomic.set wakers (wake :: Atomic.get wakers) in
+  let sleeper =
+    Domain.spawn (fun () ->
+        (* Never fired: left behind like a registration whose re-check
+           found the event already there. *)
+        Sched.suspend (fun wake ->
+            keep wake;
+            false);
+        for _ = 1 to 3 do
+          Sched.suspend (fun wake ->
+              keep wake;
+              true);
+          Atomic.incr returned
+        done)
+  in
+  let registered n =
+    within "registration" (fun () -> List.length (Atomic.get wakers) = n)
+  in
+  let waker i = List.nth (List.rev (Atomic.get wakers)) i in
+  let still_blocked k =
+    Unix.sleepf 0.02;
+    check Alcotest.int "still blocked" k (Atomic.get returned)
+  in
+  registered 2;
+  still_blocked 0;
+  (* The stale waker's pair is the one this suspension reuses (the
+     domain's cache is LIFO): its broadcast is a spurious wakeup that
+     must not release the suspension. *)
+  waker 0 ();
+  still_blocked 0;
+  waker 1 ();
+  within "first wake" (fun () -> Atomic.get returned = 1);
+  registered 3;
+  waker 1 ();
+  waker 0 ();
+  still_blocked 1;
+  waker 2 ();
+  within "second wake" (fun () -> Atomic.get returned = 2);
+  registered 4;
+  waker 2 ();
+  still_blocked 2;
+  waker 3 ();
+  Domain.join sleeper;
+  check Alcotest.int "three returns" 3 (Atomic.get returned);
+  (* Two systhreads of one domain blocked at once; waking the later one
+     first must not strand the earlier one. *)
+  let slots = [| None; None |] and done_ = [| false; false |] in
+  let lock = Mutex.create () in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create
+          (fun () ->
+            Sched.suspend (fun wake ->
+                Mutex.lock lock;
+                slots.(i) <- Some wake;
+                Mutex.unlock lock;
+                true);
+            Mutex.lock lock;
+            done_.(i) <- true;
+            Mutex.unlock lock)
+          ())
+  in
+  let locked f =
+    Mutex.lock lock;
+    let r = f () in
+    Mutex.unlock lock;
+    r
+  in
+  within "both threads registered" (fun () ->
+      locked (fun () -> Option.is_some slots.(0) && Option.is_some slots.(1)));
+  Option.get slots.(1) ();
+  within "later thread returns" (fun () -> locked (fun () -> done_.(1)));
+  Unix.sleepf 0.02;
+  check Alcotest.bool "earlier thread still blocked" false
+    (locked (fun () -> done_.(0)));
+  Option.get slots.(0) ();
+  within "earlier thread returns" (fun () -> locked (fun () -> done_.(0)));
+  List.iter Thread.join threads
 
 (* --- pool exhaustion -------------------------------------------------- *)
 
@@ -344,8 +442,8 @@ let suite =
     Alcotest.test_case "dedicated mode" `Quick test_fork_await_dedicated;
     Alcotest.test_case "task failure is a result" `Quick test_task_failure;
     Alcotest.test_case "events" `Quick test_event;
-    Alcotest.test_case "suspend off pool rejected" `Quick
-      test_suspend_off_pool_rejected;
+    Alcotest.test_case "suspend off pool blocks until woken" `Quick
+      test_suspend_off_pool_blocks;
     Alcotest.test_case "pool exhaustion does not deadlock" `Quick
       test_pool_exhaustion_no_deadlock;
     Alcotest.test_case "admission gate" `Quick test_admission_gate;

@@ -7,6 +7,7 @@ module Spsc = Volcano_util.Spsc
 module Tuple = Volcano_tuple.Tuple
 module Port = Volcano.Port
 module Packet = Volcano.Packet
+module Sched = Volcano_sched.Sched
 
 let check = Alcotest.check
 
@@ -217,6 +218,89 @@ let test_blocked_producer_shutdown () =
       (Option.map int_of_packet (Port.receive port ~consumer:0))
   done
 
+(* ------------------------------------------------------------------ *)
+(* Mixed contexts: a pool fiber on one side, a plain domain on the other *)
+
+(* The remote exchange's shape: a plain domain feeds a lane that a pool
+   fiber drains, and the reverse.  Both sides park through
+   Sched.suspend — the fiber by yielding its worker, the domain by
+   blocking — so every wakeup crosses from one context to the other. *)
+let with_pool f =
+  let sched = Sched.create ~workers:2 () in
+  Fun.protect
+    ~finally:(fun () -> Sched.shutdown sched)
+    (fun () ->
+      f sched;
+      Sched.assert_quiescent ~what:"mixed-context pool" sched)
+
+let mixed_lane ~producer_on_pool =
+  let n = 10_000 in
+  with_pool (fun sched ->
+      let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:1 () in
+      let produce () =
+        for i = 0 to n - 1 do
+          Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 i)
+        done
+      in
+      (* A failed check shuts the port so the producer cannot hang. *)
+      let consume () =
+        Fun.protect ~finally:(fun () -> Port.shutdown port) @@ fun () ->
+        for i = 0 to n - 1 do
+          match Port.receive port ~consumer:0 with
+          | None -> Alcotest.fail "port shut down unexpectedly"
+          | Some p ->
+              let v = int_of_packet p in
+              if v <> i then Alcotest.failf "lane not FIFO: %d, expected %d" v i
+        done
+      in
+      let in_fiber f =
+        let task = Sched.fork sched f in
+        fun () ->
+          match Sched.await task with Ok () -> () | Error exn -> raise exn
+      in
+      let on_domain f =
+        let d = Domain.spawn f in
+        fun () -> Domain.join d
+      in
+      let join_producer, join_consumer =
+        if producer_on_pool then
+          let p = in_fiber produce in
+          (p, on_domain consume)
+        else
+          let p = on_domain produce in
+          (p, in_fiber consume)
+      in
+      join_consumer ();
+      join_producer ();
+      check Alcotest.int "sent" n (Port.packets_sent port);
+      check Alcotest.int "sent = received" (Port.packets_sent port)
+        (Port.packets_received port))
+
+let test_mixed_context_lane () =
+  mixed_lane ~producer_on_pool:false;
+  mixed_lane ~producer_on_pool:true;
+  (* A shutdown issued from a pool fiber wakes a plain-domain producer
+     parked on its full lane. *)
+  with_pool (fun sched ->
+      for round = 1 to 100 do
+        let port = Port.create ~producers:1 ~consumers:1 ~flow_slack:1 () in
+        Port.send port ~producer:0 ~consumer:0 (packet_of_int ~producer:0 0);
+        let producer =
+          Domain.spawn (fun () ->
+              Port.send port ~producer:0 ~consumer:0
+                (packet_of_int ~producer:0 1))
+        in
+        while Port.flow_stalls port = 0 do
+          Domain.cpu_relax ()
+        done;
+        (* Mostly long enough for the producer to get past its spin. *)
+        Unix.sleepf (if round mod 10 = 0 then 5e-3 else 1e-4);
+        let closer = Sched.fork sched (fun () -> Port.shutdown port) in
+        (match Sched.await closer with Ok () -> () | Error exn -> raise exn);
+        Domain.join producer;
+        check Alcotest.int "blocked send dropped" 1 (Port.packets_sent port)
+      done)
+
 let suite =
   [
     Alcotest.test_case "ring basics and exact capacity" `Quick test_ring_basics;
@@ -230,4 +314,5 @@ let suite =
       test_shutdown_race_matrix;
     Alcotest.test_case "blocked producer woken by shutdown" `Slow
       test_blocked_producer_shutdown;
+    Alcotest.test_case "mixed-context lane" `Slow test_mixed_context_lane;
   ]
